@@ -12,18 +12,17 @@ is why rationality can be tested at the coefficient level in degree 1.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
     IntLattice,
-    ONE,
     Scalar,
     ScalarMatrix,
     Subspace,
-    ZERO,
+    extend_basis,
     hnf_lattice,
+    hnf_rows,
     kernel,
     rational_subspace,
     rref,
@@ -31,10 +30,8 @@ from .exactalg import (
 from .geometry import Metric
 from .invforms import (
     InvForm,
-    basic_forms,
     basic_h1,
     ce_d,
-    cohomology,
     d_matrix,
     form_to_vector,
     vector_to_form,
@@ -139,16 +136,10 @@ def basic_rational_basis(fnm: FoliatedNilmanifold) -> tuple[int, tuple[InvForm, 
 
 
 def _hnf_rational_rows(space: Subspace) -> list[tuple[Scalar, ...]]:
-    if space.dim == 0:
-        return []
-    fracs = [[e.as_fraction() for e in row] for row in space.basis]
-    scale = 1
-    for row in fracs:
-        for x in row:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    from .exactalg import _hnf_int_rows
-    hnf = _hnf_int_rows([[int(x * scale) for x in row] for row in fracs])
-    return [tuple(Scalar.from_fraction(Fraction(e)) for e in row) for row in hnf]
+    """HNF of the integer rows that clear the denominators of a rational
+    subspace's basis, left unscaled."""
+    _, hnf = hnf_rows([[e.as_fraction() for e in row] for row in space.basis])
+    return [tuple(Scalar.from_fraction(e) for e in row) for row in hnf]
 
 
 def period_matrix(fnm: FoliatedNilmanifold,
@@ -282,20 +273,14 @@ def classical_albanese(fnm: FoliatedNilmanifold) -> ClassicalAlbanese:
     b1 = closed.dim
     basic = albanese_lattice(fnm)
     k = basic.k
-    chosen: list[tuple[Scalar, ...]] = [form_to_vector(f) for f in basic.forms]
+    chosen = [form_to_vector(f) for f in basic.forms]
     rational_closed = rational_subspace(closed)
     pool = _hnf_rational_rows(rational_closed)
     status = "ok" if rational_closed.dim == b1 else "irrational-periods"
     if status != "ok":
-        pool = pool + [row for row in closed.basis]
-    current = Subspace(closed.ambient_dim, chosen)
-    for row in pool:
-        if len(chosen) == b1:
-            break
-        if current.contains_vector(row):
-            continue
-        chosen.append(tuple(row))
-        current = current.sum(Subspace(closed.ambient_dim, [row]))
+        pool = pool + list(closed.basis)
+    # the pool spans the closed forms, which contain the basic ones: b1 rows in all
+    chosen += extend_basis(chosen, pool)
     projection_ok = True
     if k > 0:
         for j in range(fnm.n):

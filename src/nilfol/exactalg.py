@@ -50,10 +50,6 @@ def _pneg(a: Coeffs) -> Coeffs:
     return tuple(-c for c in a)
 
 
-def _psub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return _P_ZERO
@@ -251,6 +247,9 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # equal to the hash of the int or Fraction a rational scalar equals
+        if self.is_rational:
+            return hash(self.as_fraction())
         return hash((self.num, self.den))
 
     def __bool__(self):
@@ -283,10 +282,17 @@ class ScalarParseError(ValueError):
     """Raised for malformed scalar expressions."""
 
 
+# Largest exponent, and largest degree of any power, sum, product or quotient,
+# that the parser builds.  Far above the degrees of real input; the cost of
+# arithmetic grows with the square of the degree, so without a cap a short
+# string can run for hours.
+MAX_DEGREE = 32
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(s)|([+\-*/^()]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -296,11 +302,11 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise ScalarParseError(f"unexpected character {text[pos:].lstrip()[0]!r} at position {pos}")
         if m.group(1):
-            tokens.append(("int", m.group(1)))
+            tokens.append(("int", m.group(1), m.start(1)))
         elif m.group(2):
-            tokens.append(("s", "s"))
+            tokens.append(("s", "s", m.start(2)))
         else:
-            tokens.append(("op", m.group(3)))
+            tokens.append(("op", m.group(3), m.start(3)))
         pos = m.end()
     return tokens
 
@@ -312,7 +318,7 @@ class _Parser:
         self.text = text
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos][:2] if self.pos < len(self.tokens) else (None, None)
 
     def take(self):
         tok = self.peek()
@@ -322,20 +328,29 @@ class _Parser:
     def fail(self, message):
         raise ScalarParseError(f"{message} in {self.text!r}")
 
+    def bound(self, degree: int, token: int):
+        """Reject a result of the given degree built at token index ``token``."""
+        if degree > MAX_DEGREE:
+            self.fail(f"exponent or degree above {MAX_DEGREE} at position {self.tokens[token][2]}")
+
     def expr(self) -> Scalar:
         value = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            token = self.pos
             _, op = self.take()
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+            self.bound(_degree(value), token)
         return value
 
     def term(self) -> Scalar:
         value = self.unary()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+            token = self.pos
             _, op = self.take()
             rhs = self.unary()
             value = value * rhs if op == "*" else value / rhs
+            self.bound(_degree(value), token)
         return value
 
     def unary(self) -> Scalar:
@@ -354,7 +369,9 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 self.fail("exponent must be a nonnegative integer")
-            return base ** int(text)
+            exponent = int(text)
+            self.bound(max(exponent, _degree(base) * exponent), self.pos - 1)
+            return base ** exponent
         return base
 
     def atom(self) -> Scalar:
@@ -371,8 +388,15 @@ class _Parser:
         self.fail(f"unexpected token {text!r}" if text else "unexpected end of input")
 
 
+def _degree(x: Scalar) -> int:
+    return max(len(x.num), len(x.den)) - 1
+
+
 def scalar_parse(text: str) -> Scalar:
-    """Parse an expression in integers, 's', '+ - * / ^' and parentheses."""
+    """Parse an expression in integers, 's', '+ - * / ^' and parentheses.
+
+    An exponent, or an intermediate result of degree, above ``MAX_DEGREE``
+    raises ScalarParseError naming its position."""
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarParseError("empty scalar expression")
@@ -404,16 +428,30 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c: Scalar, a: Vector) -> Vector:
     return tuple(c * x for x in a)
 
 
 def vec_is_zero(a: Vector) -> bool:
     return all(x.is_zero for x in a)
+
+
+def bilinear(tensor: Sequence[Sequence[Vector]], x: Vector, y: Vector) -> Vector:
+    """sum_{i,j} x_i y_j tensor[i][j]: the bilinear map taking the basis
+    pair (e_i, e_j) to tensor[i][j]."""
+    out = [ZERO] * len(tensor)
+    for i, xi in enumerate(x):
+        if xi.is_zero:
+            continue
+        for j, yj in enumerate(y):
+            value = tensor[i][j]
+            if yj.is_zero or vec_is_zero(value):
+                continue
+            c = xi * yj
+            for m, t in enumerate(value):
+                if not t.is_zero:
+                    out[m] = out[m] + c * t
+    return tuple(out)
 
 
 # -- matrices -----------------------------------------------------------
@@ -678,15 +716,26 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q(s)^{self.ambient_dim})"
 
 
-class SubspaceOps(NamedTuple):
-    sum: Subspace
-    intersection: Subspace
-    contains: bool
+def extend_basis(base: Sequence[Sequence], candidates: Sequence[Vector]) -> list[Vector]:
+    """The candidates that greedily extend the span of ``base``: scanning
+    in order, keep each candidate outside the span of ``base`` and the
+    candidates kept before it.
 
-
-def subspace_ops(a: Subspace, b: Subspace) -> SubspaceOps:
-    """Sum, intersection, and whether a contains b."""
-    return SubspaceOps(a.sum(b), a.intersection(b), a.contains(b))
+    One RREF of the matrix whose columns are the base vectors followed by
+    the candidates does the whole scan.  A column is a pivot column iff it
+    lies outside the span of all the columns before it.  A candidate lies
+    outside the span of ``base`` and all earlier candidates iff it lies
+    outside the span of ``base`` and the earlier kept ones, because every
+    skipped candidate lies in the latter span.  So the candidates whose
+    columns are pivots are exactly the greedy choice.  ``base`` need not be
+    independent.
+    """
+    if not candidates:
+        return []
+    columns = list(base) + list(candidates)
+    matrix = ScalarMatrix([[col[r] for col in columns] for r in range(len(columns[0]))])
+    offset = len(base)
+    return [candidates[c - offset] for c in rref(matrix).pivots if c >= offset]
 
 
 def _den_lcm(entries: Iterable[Scalar]) -> Coeffs:
@@ -695,6 +744,23 @@ def _den_lcm(entries: Iterable[Scalar]) -> Coeffs:
         g = _pgcd(out, e.den)
         out = _pdiv_exact(_pmul(out, e.den), g)
     return out
+
+
+def primitive_factor(entries: Sequence[Scalar]) -> Scalar:
+    """The factor f in Q(s) that makes the nonzero ``entries`` integer
+    polynomials with content 1, the first with a positive leading
+    coefficient."""
+    factor = Scalar(_den_lcm(entries))
+    gcd_poly: Coeffs = ()
+    for e in entries:
+        gcd_poly = _pgcd(gcd_poly, (factor * e).num)
+    if len(gcd_poly) > 1:
+        factor = factor / Scalar(gcd_poly)
+    coeffs = [c for e in entries for c in (factor * e).num]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    content = math.gcd(*(c.numerator * den // c.denominator for c in coeffs))
+    factor = factor * Scalar.from_fraction(Fraction(den, content))
+    return -factor if (factor * entries[0]).num[-1] < 0 else factor
 
 
 def q_decompose(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
@@ -757,12 +823,17 @@ def rational_subspace(space: Subspace) -> Subspace:
 
 # -- integer lattices ----------------------------------------------------
 
-def _hnf_int_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form: echelon, positive pivots, entries above
-    each pivot reduced into [0, pivot)."""
-    rows = [list(r) for r in rows]
+def hnf_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """Row Hermite normal form of rational rows cleared of denominators.
+
+    Returns the least common denominator d of the entries and the HNF of
+    the integer rows d * row: echelon, positive pivots, entries above each
+    pivot reduced into [0, pivot).
+    """
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    rows = [[int(x * scale) for x in row] for row in rows]
     if not rows:
-        return []
+        return scale, []
     ncols = len(rows[0])
     r = 0
     for c in range(ncols):
@@ -786,7 +857,7 @@ def _hnf_int_rows(rows: list[list[int]]) -> list[list[int]]:
             if q:
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
         r += 1
-    return rows[:r]
+    return scale, rows[:r]
 
 
 class IntLattice:
@@ -860,12 +931,7 @@ def hnf_lattice(generators: Sequence[Sequence[Fraction | int]]) -> IntLattice:
     k = len(gens[0])
     if any(len(g) != k for g in gens):
         raise ValueError("generators of unequal length")
-    scale = 1
-    for g in gens:
-        for x in g:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    int_rows = [[int(x * scale) for x in g] for g in gens]
-    hnf = _hnf_int_rows(int_rows)
+    scale, hnf = hnf_rows(gens)
     if len(hnf) < k:
         raise ValueError("lattice not full rank")
     basis = tuple(tuple(Fraction(e, scale) for e in row) for row in hnf)

@@ -14,7 +14,6 @@ supplied rational sample value of s.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,10 +24,10 @@ from .exactalg import (
     Subspace,
     Vector,
     ZERO,
+    bilinear,
     kernel,
     vec,
     vec_add,
-    vec_is_zero,
     vec_scale,
     unit_vector,
     zero_vector,
@@ -121,41 +120,25 @@ class Connection:
 
     def nabla(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension, valid for invariant (constant) fields."""
-        x, y = vec(x), vec(y)
-        out = zero_vector(self.n)
-        for i, xi in enumerate(x):
-            if xi.is_zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero or vec_is_zero(self.coeffs[i][j]):
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.coeffs[i][j]))
-        return out
+        return bilinear(self.coeffs, vec(x), vec(y))
 
 
 def levi_civita(g: LieAlgebra, metric: Metric) -> Connection:
     """Koszul formula for invariant fields:
-    2 g(nabla_X Y, Z) = g([X,Y],Z) - g([Y,Z],X) + g([Z,X],Y)."""
+    2 g(nabla_X Y, Z) = g([X,Y],Z) - g([Y,Z],X) + g([Z,X],Y).
+
+    With the bracket tensor lowered once, low[i][j][k] = g([e_i,e_j], e_k),
+    on basis fields this reads
+    2 nabla_{e_i} e_j = G^{-1} (low[i][j][k] - low[j][k][i] + low[k][i][j])_k."""
     n = g.n
     if metric.n != n:
         raise ValueError("metric dimension mismatch")
     ginv = metric.inverse()  # raises on a singular Gram matrix
     half = Scalar([Fraction(1, 2)])
-    coeffs = []
-    for i in range(n):
-        row = []
-        ei = unit_vector(n, i)
-        for j in range(n):
-            ej = unit_vector(n, j)
-            rhs = []
-            for k in range(n):
-                ek = unit_vector(n, k)
-                val = metric.pairing(g.c[i][j], ek)
-                val = val - metric.pairing(g.bracket(ej, ek), ei)
-                val = val + metric.pairing(g.bracket(ek, ei), ej)
-                rhs.append(half * val)
-            row.append(ginv.apply(tuple(rhs)))
-        coeffs.append(row)
+    low = [[metric.gram.apply(g.c[i][j]) for j in range(n)] for i in range(n)]
+    coeffs = [[ginv.apply(tuple(half * (low[i][j][k] - low[j][k][i] + low[k][i][j])
+                                for k in range(n)))
+               for j in range(n)] for i in range(n)]
     return Connection(coeffs)
 
 
@@ -255,10 +238,14 @@ def mean_curvature(g: LieAlgebra, leaf: LeafSubalgebra, metric: Metric,
         if not val.is_zero:
             coeffs[(j,)] = val
     form = InvForm(n, 1, coeffs)
-    vanishes = form.is_zero
-    basic = all(form.interior(v).is_zero and ce_d(g, form).interior(v).is_zero
-                for v in leaf.space.basis)
-    return MeanCurvature(form, vanishes, basic)
+    return MeanCurvature(form, form.is_zero, _is_basic(g, leaf, form))
+
+
+def _is_basic(g: LieAlgebra, leaf: LeafSubalgebra, form: InvForm) -> bool:
+    """i_v form = 0 and i_v d form = 0 for every leaf direction v."""
+    d_form = ce_d(g, form)
+    return all(form.interior(v).is_zero and d_form.interior(v).is_zero
+               for v in leaf.space.basis)
 
 
 # -- bundle-like check ---------------------------------------------------------
@@ -343,8 +330,7 @@ def coclosed_check(g: LieAlgebra, leaf: LeafSubalgebra, metric: Metric,
     form (the dropped constants cannot affect the zero-test)."""
     if alpha.degree != 1:
         raise ValueError("coclosedness is checked for 1-forms")
-    for v in leaf.space.basis:
-        if not alpha.interior(v).is_zero or not ce_d(g, alpha).interior(v).is_zero:
-            raise ValueError("form is not basic for the foliation")
+    if not _is_basic(g, leaf, alpha):
+        raise ValueError("form is not basic for the foliation")
     chi = characteristic_form(leaf, metric)
     return ce_d(g, hodge_star(metric, alpha.wedge(chi))).is_zero

@@ -10,7 +10,7 @@ the format carries no floating point anywhere.  Indices are 1-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -18,7 +18,7 @@ from pathlib import Path
 import jsonschema
 
 from .albanese import LATTICE_MODE, FoliatedNilmanifold
-from .exactalg import Scalar, ScalarMatrix, ScalarParseError, scalar_parse
+from .exactalg import ScalarMatrix, ScalarParseError, scalar_parse
 from .geometry import Metric
 from .liealg import LeafSubalgebra, LieAlgebra
 

@@ -13,14 +13,27 @@ extended to higher degrees as an antiderivation.  This is the convention
 under which d of the dual frame matches coordinate differentiation of the
 corresponding left-invariant coordinate forms.  The opposite sign on the
 bracket term changes no kernel, rank or dimension computed here.
+
+There is one differential, built straight from the structure constants.
+The table d(e^m) = -sum_{i<j} c^m_ij e^i ^ e^j is read off ``g.c`` once per
+call.  On a basis form e^idx = e^{m_0} ^ ... ^ e^{m_{k-1}} the
+antiderivation rule gives
+
+    d(e^idx) = sum_t (-1)^t e^{m_0} ^ ... ^ d(e^{m_t}) ^ ... ^ e^{m_{k-1}},
+
+so each term of d(e^{m_t}) replaces position t of ``idx`` by the pair
+(i, j).  A term whose i or j already occurs elsewhere in ``idx`` vanishes;
+otherwise sorting the new index tuple gives the sign (-1)^(t + inversions).
+With p and q the numbers of remaining indices below i and below j, the
+inversions have the parity of p + q.  ``ce_d`` and ``d_matrix`` both
+apply this one rule.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactalg import (
@@ -30,8 +43,9 @@ from .exactalg import (
     Subspace,
     Vector,
     ZERO,
+    extend_basis,
     kernel,
-    rref,
+    primitive_factor,
     vec,
 )
 from .liealg import LeafSubalgebra, LieAlgebra
@@ -200,68 +214,54 @@ def _is_simple_coeff(text: str) -> bool:
     return all(ch not in text for ch in " +") and text.count("-") <= (1 if text.startswith("-") else 0)
 
 
-def wedge(a: InvForm, b: InvForm) -> InvForm:
-    return a.wedge(b)
-
-
-def interior(v: Sequence, a: InvForm) -> InvForm:
-    return a.interior(v)
-
-
 # -- differential ---------------------------------------------------------
 
-def _d_of_dual_basis(g: LieAlgebra, m: int) -> InvForm:
-    # d(e^m) = - sum_{i<j} c^m_ij e^i ^ e^j
-    coeffs = {}
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            cm = g.c[i][j][m]
-            if not cm.is_zero:
-                coeffs[(i, j)] = -cm
-    return InvForm(g.n, 2, coeffs)
+_DTable = list[list[tuple[int, int, Scalar]]]
+
+
+def _d_table(g: LieAlgebra) -> _DTable:
+    """Row m lists the terms (i, j, -c^m_ij), i < j, of d(e^m)."""
+    n = g.n
+    return [[(i, j, -g.c[i][j][m]) for i in range(n) for j in range(i + 1, n)
+             if not g.c[i][j][m].is_zero] for m in range(n)]
+
+
+def _d_basis(table: _DTable, idx: Index) -> dict[Index, Scalar]:
+    """d(e^idx) by the antiderivation rule over index positions (see the
+    module docstring); zero coefficients may remain."""
+    out: dict[Index, Scalar] = {}
+    for t, m in enumerate(idx):
+        rest = idx[:t] + idx[t + 1:]
+        for i, j, c in table[m]:
+            if i in rest or j in rest:
+                continue
+            p, q = bisect_left(rest, i), bisect_left(rest, j)
+            jdx = rest[:p] + (i,) + rest[p:q] + (j,) + rest[q:]
+            out[jdx] = out.get(jdx, ZERO) + (-c if (t + p + q) % 2 else c)
+    return out
 
 
 def ce_d(g: LieAlgebra, form: InvForm) -> InvForm:
     """Chevalley-Eilenberg differential, extended as an antiderivation."""
     if form.n != g.n:
         raise ValueError("form does not live on this algebra")
-    if form.degree >= g.n:
-        return InvForm.zero(g.n, form.degree + 1)
-    out = InvForm.zero(g.n, form.degree + 1)
-    if form.degree == 0:
-        return out
-    duals = {}
+    table = _d_table(g)
+    out: dict[Index, Scalar] = {}
     for idx, value in form.coeffs.items():
-        for t, m in enumerate(idx):
-            if m not in duals:
-                duals[m] = _d_of_dual_basis(g, m)
-            dm = duals[m]
-            if dm.is_zero:
-                continue
-            prefix = InvForm.basis_form(g.n, idx[:t]) if t else InvForm.constant(g.n, ONE)
-            suffix_idx = idx[t + 1:]
-            term = prefix.wedge(dm)
-            if suffix_idx:
-                term = term.wedge(InvForm.basis_form(g.n, suffix_idx))
-            if t % 2:
-                term = term.scale(-ONE)
-            out = out.add(term.scale(value))
-    return out
+        for jdx, c in _d_basis(table, idx).items():
+            out[jdx] = out.get(jdx, ZERO) + value * c
+    return InvForm(g.n, form.degree + 1, out)
 
 
 def d_matrix(g: LieAlgebra, k: int) -> ScalarMatrix:
     """Matrix of d from degree k to degree k+1 in the lexicographic bases."""
+    table = _d_table(g)
     source = multi_indices(g.n, k)
-    target = multi_indices(g.n, k + 1)
-    target_pos = {idx: t for t, idx in enumerate(target)}
-    columns = []
-    for idx in source:
-        image = ce_d(g, InvForm.basis_form(g.n, idx))
-        col = [ZERO] * len(target)
-        for jdx, value in image.coeffs.items():
-            col[target_pos[jdx]] = value
-        columns.append(col)
-    rows = [[columns[c][r] for c in range(len(source))] for r in range(len(target))]
+    target_pos = {idx: t for t, idx in enumerate(multi_indices(g.n, k + 1))}
+    rows = [[ZERO] * len(source) for _ in target_pos]
+    for col, idx in enumerate(source):
+        for jdx, c in _d_basis(table, idx).items():
+            rows[target_pos[jdx]][col] = c
     return ScalarMatrix(rows)
 
 
@@ -284,29 +284,7 @@ def primitive_form(form: InvForm) -> InvForm:
     leading coefficient.  Used for presenting canonical representatives."""
     if form.is_zero:
         return form
-    from .exactalg import _den_lcm, _pgcd
-    entries = [form.coeffs[idx] for idx in sorted(form.coeffs)]
-    factor = Scalar(_den_lcm(entries))
-    scaled = [factor * e for e in entries]
-    gcd_poly: tuple = ()
-    for e in scaled:
-        gcd_poly = _pgcd(gcd_poly, e.num)
-    if len(gcd_poly) > 1:
-        factor = factor / Scalar(gcd_poly)
-        scaled = [factor * e for e in entries]
-    den_lcm = 1
-    for e in scaled:
-        for c in e.num:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for e in scaled:
-        for c in e.num:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator * den_lcm // c.denominator))
-    factor = factor * Scalar.from_fraction(Fraction(den_lcm, num_gcd or 1))
-    scaled = [factor * e for e in entries]
-    if scaled[0].num[-1] < 0:
-        factor = -factor
-    return form.scale(factor)
+    return form.scale(primitive_factor([form.coeffs[idx] for idx in sorted(form.coeffs)]))
 
 
 # -- cohomology -------------------------------------------------------------
@@ -332,21 +310,9 @@ def cohomology(g: LieAlgebra, k: int) -> CohomologyReport:
             vector_to_form(g.n, 0, row) for row in closed.basis), closed)
     prev = d_matrix(g, k - 1)
     exact = Subspace(prev.rows, [prev.column(c) for c in range(prev.cols)])
-    reps = _complete_basis(exact, closed)
+    reps = extend_basis(exact.basis, closed.basis)
     return CohomologyReport(k, closed.dim - exact.dim,
                             tuple(vector_to_form(g.n, k, row) for row in reps))
-
-
-def _complete_basis(base: Subspace, total: Subspace) -> list[Vector]:
-    """Rows of ``total`` that extend a basis of ``base`` to one of ``total``."""
-    chosen: list[Vector] = []
-    current = base
-    for row in total.basis:
-        if current.contains_vector(row):
-            continue
-        chosen.append(row)
-        current = current.sum(Subspace(base.ambient_dim, [row]))
-    return chosen
 
 
 # -- basic subcomplex --------------------------------------------------------
@@ -359,15 +325,14 @@ def basic_forms(g: LieAlgebra, leaf: LeafSubalgebra, k: int) -> Subspace:
     if k == 0:
         # basic constants: killed by every i_v automatically; i_v d = 0 too
         return Subspace.full(1)
+    table = _d_table(g)
+    basis_images = [(InvForm.basis_form(g.n, idx), InvForm(g.n, k + 1, _d_basis(table, idx)))
+                    for idx in combos]
+    lower = multi_indices(g.n, k - 1)
+    lower_pos = {idx: t for t, idx in enumerate(lower)}
+    same_pos = {idx: t for t, idx in enumerate(combos)}
     rows: list[list[Scalar]] = []
-    basis_images: list[tuple[InvForm, InvForm]] = []
-    for idx in combos:
-        e = InvForm.basis_form(g.n, idx)
-        basis_images.append((e, ce_d(g, e)))
     for v in leaf.space.basis:
-        lower = multi_indices(g.n, k - 1)
-        lower_pos = {idx: t for t, idx in enumerate(lower)}
-        same_pos = {idx: t for t, idx in enumerate(combos)}
         block1 = [[ZERO] * len(combos) for _ in lower]
         block2 = [[ZERO] * len(combos) for _ in combos]
         for col, (e, de) in enumerate(basis_images):
@@ -382,11 +347,6 @@ def basic_forms(g: LieAlgebra, leaf: LeafSubalgebra, k: int) -> Subspace:
     if not rows:
         return Subspace.full(len(combos))
     return kernel(ScalarMatrix(rows))
-
-
-def basic_forms_list(g: LieAlgebra, leaf: LeafSubalgebra, k: int) -> list[InvForm]:
-    return [primitive_form(vector_to_form(g.n, k, row))
-            for row in basic_forms(g, leaf, k).basis]
 
 
 def basic_h1(g: LieAlgebra, leaf: LeafSubalgebra) -> CohomologyReport:

@@ -20,7 +20,9 @@ from .exactalg import (
     Subspace,
     Vector,
     ZERO,
+    bilinear,
     q_decompose,
+    unit_vector,
     vec,
     vec_add,
     vec_is_zero,
@@ -103,23 +105,12 @@ class LieAlgebra:
 
     # -- bracket --------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
-
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear extension of the structure tensor."""
         x, y = vec(x), vec(y)
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("vectors must have the ambient dimension")
-        out = zero_vector(self.n)
-        for i, xi in enumerate(x):
-            if xi.is_zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero or vec_is_zero(self.c[i][j]):
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.c[i][j]))
-        return out
+        return bilinear(self.c, x, y)
 
     # -- structural checks ------------------------------------------------
 
@@ -144,9 +135,9 @@ class LieAlgebra:
             for i in range(self.n):
                 for j in range(i + 1, self.n):
                     for k in range(j + 1, self.n):
-                        total = self.bracket(self.c[i][j], _unit(self.n, k))
-                        total = vec_add(total, self.bracket(self.c[j][k], _unit(self.n, i)))
-                        total = vec_add(total, self.bracket(self.c[k][i], _unit(self.n, j)))
+                        total = self.bracket(self.c[i][j], unit_vector(self.n, k))
+                        total = vec_add(total, self.bracket(self.c[j][k], unit_vector(self.n, i)))
+                        total = vec_add(total, self.bracket(self.c[k][i], unit_vector(self.n, j)))
                         if not vec_is_zero(total):
                             jacobi = False
                             violations.append(
@@ -179,7 +170,7 @@ class LieAlgebra:
             vectors = []
             for i in range(self.n):
                 for b in current.basis:
-                    w = self.bracket(_unit(self.n, i), b)
+                    w = self.bracket(unit_vector(self.n, i), b)
                     if not vec_is_zero(w):
                         vectors.append(w)
             nxt = Subspace(self.n, vectors)
@@ -203,7 +194,7 @@ class LieAlgebra:
         self._check_space(space)
         for i in range(self.n):
             for b in space.basis:
-                if not space.contains_vector(self.bracket(_unit(self.n, i), b)):
+                if not space.contains_vector(self.bracket(unit_vector(self.n, i), b)):
                     return False
         return True
 
@@ -249,11 +240,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.n})"
-
-
-def _unit(n: int, i: int) -> Vector:
-    from .exactalg import unit_vector
-    return unit_vector(n, i)
 
 
 class LeafSubalgebra:

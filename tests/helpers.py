@@ -56,6 +56,21 @@ def specialize_matrix_rank(m: ScalarMatrix, sigma: Fraction) -> int:
     return frac_rank(m.evaluate(sigma))
 
 
+# -- reference basis extension -----------------------------------------------
+
+def greedy_extend(base: Subspace, candidates) -> list:
+    """Scan the candidates in order and keep each one outside the span of
+    ``base`` and the candidates kept so far, re-spanning after each one."""
+    chosen = []
+    current = base
+    for v in candidates:
+        if current.contains_vector(v):
+            continue
+        chosen.append(v)
+        current = current.sum(Subspace(base.ambient_dim, [v]))
+    return chosen
+
+
 # -- specialization of whole structures ----------------------------------
 
 def specialize_scalar(x: Scalar, sigma) -> Scalar:

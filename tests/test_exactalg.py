@@ -1,11 +1,13 @@
 """Tests for exact Q(s) arithmetic and the linear algebra layer."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from nilfol.exactalg import (
+    MAX_DEGREE,
     ONE,
     S,
     ZERO,
@@ -14,18 +16,24 @@ from nilfol.exactalg import (
     ScalarMatrix,
     ScalarParseError,
     Subspace,
+    extend_basis,
     hnf_lattice,
     kernel,
     q_decompose,
     rational_subspace,
     rref,
     scalar_parse,
-    subspace_ops,
     unit_vector,
     vec,
 )
 
-from helpers import frac_rank, random_matrix, random_nonzero_scalar, random_scalar
+from helpers import (
+    frac_rank,
+    greedy_extend,
+    random_matrix,
+    random_nonzero_scalar,
+    random_scalar,
+)
 
 
 F = Fraction
@@ -67,6 +75,25 @@ class TestScalar:
         a = scalar_parse("(s^2+2*s+1)/(s+1)")
         b = S + ONE
         assert a == b and hash(a) == hash(b)
+
+    def test_hash_agrees_with_int_and_fraction(self):
+        for value in [0, 1, -3, 12, F(1, 2), F(-7, 3), F(4, 2)]:
+            x = Scalar.from_fraction(value)
+            assert x == value and hash(x) == hash(value)
+            assert len({x, value}) == 1
+        assert len({ONE, 1, F(1)}) == 1 and len({ZERO, 0}) == 1
+
+    def test_degree_capped(self):
+        assert scalar_parse(f"s^{MAX_DEGREE}") == S ** MAX_DEGREE
+        assert scalar_parse(f"s^{MAX_DEGREE}/s^{MAX_DEGREE}") == ONE
+        for bad in ["s^99999999", "(s+1)^100000000", f"s^{MAX_DEGREE + 1}", "2^99999999",
+                    f"(s^2+1)^{MAX_DEGREE // 2 + 1}", f"(1/s)^{MAX_DEGREE + 1}",
+                    "*".join(["(s+1)^16"] * 5), "1" + "".join(f"/(s+{i})^16" for i in range(5)),
+                    "+".join(f"1/(s+{i})^16" for i in range(5))]:
+            start = time.perf_counter()
+            with pytest.raises(ScalarParseError, match="at position"):
+                scalar_parse(bad)
+            assert time.perf_counter() - start < 1
 
     def test_evaluate(self):
         x = scalar_parse("(s^2+1)/(s-1)")
@@ -194,17 +221,15 @@ class TestSubspace:
     def test_sum_and_intersection_of_axes(self):
         a = Subspace(3, [unit_vector(3, 0)])
         b = Subspace(3, [unit_vector(3, 1)])
-        ops = subspace_ops(a, b)
-        assert ops.sum.dim == 2
-        assert ops.intersection.dim == 0
-        assert not ops.contains
+        assert a.sum(b).dim == 2
+        assert a.intersection(b).dim == 0
+        assert not a.contains(b)
 
     def test_equal_spaces(self):
         a = Subspace(2, [(ONE, S)])
         b = Subspace(2, [(S, S * S)])
         assert a == b
-        ops = subspace_ops(a, b)
-        assert ops.intersection == a and ops.contains
+        assert a.intersection(b) == a and a.contains(b)
 
     def test_containment_intersection(self):
         a = Subspace(2, [(ONE, S)])
@@ -221,6 +246,26 @@ class TestSubspace:
             b = Subspace(n, [tuple(random_scalar(rng) for _ in range(n))
                              for _ in range(rng.randint(0, n))])
             assert a.sum(b).dim + a.intersection(b).dim == a.dim + b.dim
+
+    def test_extend_basis_matches_greedy(self):
+        rng = random.Random(31)
+
+        def entry():
+            return random_scalar(rng, max_deg=1, allow_denominator=False)
+
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            base = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(0, n - 1))]
+            fresh = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(0, n))]
+            inside = [tuple(entry() * x for x in v) for v in base]
+            candidates = fresh + inside + fresh[:2]
+            rng.shuffle(candidates)
+            space = Subspace(n, base)
+            expected = greedy_extend(space, candidates)
+            assert extend_basis(space.basis, candidates) == expected
+            # a dependent base spans the same space, so the choice is the same
+            assert extend_basis(base + base[:1], candidates) == expected
+            assert space.sum(Subspace(n, expected)) == Subspace(n, base + candidates)
 
 
 class TestQDecompose:

@@ -15,11 +15,9 @@ from nilfol.invforms import (
     cohomology,
     d_matrix,
     form_to_vector,
-    interior,
     multi_indices,
     primitive_form,
     vector_to_form,
-    wedge,
 )
 from nilfol.liealg import LeafSubalgebra, LieAlgebra
 
@@ -47,13 +45,13 @@ class TestWedgeInterior:
     def test_interior_of_wedge(self):
         # i_{e1}(e^1 ^ e^4) = e^4
         form = ef(9, 1).wedge(ef(9, 4))
-        assert interior(unit_vector(9, 0), form) == ef(9, 4)
+        assert form.interior(unit_vector(9, 0)) == ef(9, 4)
 
     def test_iwasawa_contraction_vanishes(self):
         # v1 = -s e2 + e3, w = (e^2 + s e^3) ^ e^5; w(v1, .) = 0
         v1 = vec([0, -S, ONE, 0, 0, 0, 0, 0, 0])
         omega1 = ef(9, 2).add(ef(9, 3).scale(S))
-        assert interior(v1, omega1.wedge(ef(9, 5))).is_zero
+        assert omega1.wedge(ef(9, 5)).interior(v1).is_zero
 
     def test_graded_commutativity(self):
         rng = random.Random(31)
@@ -84,9 +82,9 @@ class TestWedgeInterior:
             q = rng.randint(1, 2)
             a, b = random_form(rng, n, p), random_form(rng, n, q)
             v = tuple(ONE if i % 2 else S for i in range(n))
-            lhs = interior(v, a.wedge(b))
-            rhs = interior(v, a).wedge(b)
-            second = a.wedge(interior(v, b))
+            lhs = a.wedge(b).interior(v)
+            rhs = a.interior(v).wedge(b)
+            second = a.wedge(b.interior(v))
             rhs = rhs.add(second if p % 2 == 0 else second.scale(-ONE))
             assert lhs == rhs
 
