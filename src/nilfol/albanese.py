@@ -214,9 +214,9 @@ def fiber_report(fnm: FoliatedNilmanifold) -> FiberReport:
     """Joint kernel of the rational basic forms; the restricted foliation
     is dense in the fiber iff the rational hull of the leaf subalgebra
     fills the whole fiber."""
-    if not submersion_check(fnm):
-        raise ValueError("non-submersive configuration")
     k, forms = basic_rational_basis(fnm)
+    if not submersion_check(fnm, forms):
+        raise ValueError("non-submersive configuration")
     if k == 0:
         fiber = Subspace.full(fnm.n)
     else:
@@ -309,9 +309,9 @@ def stratum_codim_check(fnm: FoliatedNilmanifold) -> StratumReport:
     """Codimension bound for the foliation restricted to the strata of the
     leaf-closure stratification: codim >= rational rank.  The codimension
     of the leaves inside their closures is reported alongside."""
-    if not submersion_check(fnm):
+    k, forms = basic_rational_basis(fnm)
+    if not submersion_check(fnm, forms):
         raise ValueError("non-submersive configuration")
-    k, _ = basic_rational_basis(fnm)
     q = fnm.n - fnm.leaf.dim
     hull = fnm.algebra.rational_hull(fnm.leaf.space)
     return StratumReport(q, k, q >= k, hull.dim - fnm.leaf.dim)

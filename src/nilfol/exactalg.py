@@ -10,11 +10,26 @@ kept in canonical form:
 
 which makes equality of field elements plain structural equality.
 
+Polynomial products, exact quotients and gcds run on integer polynomials:
+each operand is cleared of denominators (and, for gcds and quotients, of
+its content) first.  The gcd is the primitive pseudo-remainder sequence
+over the integers (Brown, J. ACM 18 (1971) 478-504), made monic at the
+end; the monic gcd is unique, so the canonical form does not depend on
+the method.  Arithmetic whose result is canonical by construction (two
+rational constants, a product with a constant, a polynomial plus n/d)
+skips the normalisation.
+
 On top of scalars the module provides matrices, reduced row echelon form,
 kernels, subspaces (always stored with an RREF basis, so equal subspaces
 have identical representations), decomposition of Q(s)-vectors into their
 rational coefficient layers, extraction of the rational members of a
 subspace, and integer lattices in Hermite normal form.
+
+``rref`` is the one elimination loop.  A matrix whose entries are all
+rational constants is eliminated on ``Fraction``s and wrapped back into
+scalars; any other matrix on scalars.  The RREF is unique, so both give
+the same result.  Each row update touches only the columns where the
+pivot row is nonzero.
 """
 
 from __future__ import annotations
@@ -26,6 +41,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 Coeffs = tuple[Fraction, ...]
 
+# Coefficient tuples are built from lists, not generators.  CPython sizes a
+# tuple(generator) at 10 and then shrinks it, which moves tuples into its
+# per-length free lists; on the s-family benchmark that held about 2 MB more
+# peak memory.
+
+_F_ZERO = Fraction(0)
 _P_ZERO: Coeffs = ()
 _P_ONE: Coeffs = (Fraction(1),)
 
@@ -47,61 +68,92 @@ def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 def _pneg(a: Coeffs) -> Coeffs:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
+
+
+def _pints(a: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(d, d*a): the least common denominator of the coefficients of a and
+    the integer polynomial it clears a to."""
+    den = math.lcm(*[c.denominator for c in a])
+    return den, [c.numerator * (den // c.denominator) for c in a]
+
+
+def _pprimitive(a: Sequence[Fraction | int]) -> tuple[Fraction, list[int]]:
+    """(c, p) with a = c*p, p an integer polynomial with content 1."""
+    den, ints = _pints(a)
+    content = math.gcd(*ints)
+    return Fraction(content, den), [c // content for c in ints]
 
 
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return _P_ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _ptrim(out)
-
-
-def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b) and _ptrim(rem):
-        rem = list(_ptrim(rem))
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        q = rem[-1] / lead
-        quo[shift] = q
-        for i, cb in enumerate(b):
-            rem[shift + i] -= q * cb
-        rem.pop()
-    return _ptrim(quo), _ptrim(rem)
+    da, x = _pints(a)
+    db, y = _pints(b)
+    out = [0] * (len(x) + len(y) - 1)
+    for i, c in enumerate(x):
+        if c:
+            for j, e in enumerate(y):
+                out[i + j] += c * e
+    den = da * db
+    return tuple([Fraction(c, den) for c in out])
 
 
 def _pdiv_exact(a: Coeffs, b: Coeffs) -> Coeffs:
-    q, r = _pdivmod(a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _pmonic(a: Coeffs) -> Coeffs:
+    """a / b for a nonzero b that divides a.  The quotient of the primitive
+    integer parts is an integer polynomial (Gauss's lemma), so the long
+    division runs over the integers."""
     if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(c / lead for c in a)
+        return _P_ZERO
+    ca, x = _pprimitive(a)
+    cb, y = _pprimitive(b)
+    lead = y[-1]
+    quo = [0] * max(len(x) - len(y) + 1, 0)
+    for shift in reversed(range(len(quo))):
+        q, r = divmod(x[shift + len(y) - 1], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quo[shift] = q
+        if q:
+            for i, c in enumerate(y):
+                x[shift + i] -= q * c
+    if any(x):
+        raise ArithmeticError("inexact polynomial division")
+    scale = ca / cb
+    return tuple([scale * q for q in quo])
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    # monic gcd via the Euclidean algorithm
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+    """Monic gcd by the primitive pseudo-remainder sequence over the integers
+    (Brown 1971): each remainder is divided by its content, so the integer
+    coefficients do not grow from one step to the next."""
+    if not a or not b:
+        a = a or b
+        return tuple([c / a[-1] for c in a])
+    if len(a) == 1 or len(b) == 1:
+        return _P_ONE
+    x, y = _pprimitive(a)[1], _pprimitive(b)[1]
+    if len(x) < len(y):
+        x, y = y, x
+    while True:
+        # pseudo-remainder of x by y, one leading term at a time
+        lead = y[-1]
+        while len(x) >= len(y):
+            g = math.gcd(lead, x[-1])
+            ly, lx = lead // g, x[-1] // g
+            shift = len(x) - len(y)
+            if ly != 1:
+                x = [c * ly for c in x]
+            for i, c in enumerate(y):
+                x[shift + i] -= lx * c
+            x.pop()
+            while x and not x[-1]:
+                x.pop()
+        if not x:
+            return tuple([Fraction(c, lead) for c in y])
+        if len(x) == 1:
+            return _P_ONE
+        x, y = y, _pprimitive(x)[1]
 
 
 def _peval(a: Coeffs, x: Fraction) -> Fraction:
@@ -138,21 +190,21 @@ class Scalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Iterable[Fraction | int], den: Iterable[Fraction | int] = _P_ONE):
-        n = _ptrim([Fraction(c) for c in num])
-        d = _ptrim([Fraction(c) for c in den])
+        n = _ptrim([c if isinstance(c, Fraction) else Fraction(c) for c in num])
+        d = _ptrim([c if isinstance(c, Fraction) else Fraction(c) for c in den])
         if not d:
             raise ZeroDivisionError("denominator polynomial is zero")
         if not n:
             d = _P_ONE
-        else:
+        elif d != _P_ONE:
             g = _pgcd(n, d)
             if len(g) > 1:
                 n = _pdiv_exact(n, g)
                 d = _pdiv_exact(d, g)
             lead = d[-1]
             if lead != 1:
-                n = tuple(c / lead for c in n)
-                d = tuple(c / lead for c in d)
+                n = tuple([c / lead for c in n])
+                d = tuple([c / lead for c in d])
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -160,9 +212,20 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     @classmethod
+    def _canonical(cls, num: Coeffs, den: Coeffs = _P_ONE) -> "Scalar":
+        """The scalar num/den, which must already be in canonical form."""
+        if not num:
+            return ZERO
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
+    @classmethod
     def from_fraction(cls, q: Fraction | int) -> "Scalar":
-        q = Fraction(q)
-        return cls((q,)) if q != 0 else ZERO
+        if not q:
+            return ZERO
+        return cls._canonical((q if isinstance(q, Fraction) else Fraction(q),))
 
     @staticmethod
     def _coerce(value) -> "Scalar":
@@ -179,7 +242,8 @@ class Scalar:
 
     @property
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == _P_ONE
+        # the denominator is monic, so a constant one is 1
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -195,15 +259,30 @@ class Scalar:
         return _peval(self.num, sigma) / d
 
     # -- arithmetic ----------------------------------------------------
+    # The shortcuts below build results that are canonical by construction
+    # and skip __init__ and its gcd: a zero operand; two rational constants,
+    # combined as Fractions; a polynomial added to n/d, giving (n + p*d)/d;
+    # a product of polynomials; a product with, or quotient by, a constant.
     def __add__(self, other):
-        other = self._coerce(other)
-        return Scalar(_padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-                      _pmul(self.den, other.den))
+        a, b = self, self._coerce(other)
+        if not a.num:
+            return b
+        if not b.num:
+            return a
+        if len(a.den) == 1 and len(b.den) == 1:
+            if len(a.num) == 1 and len(b.num) == 1:
+                return Scalar.from_fraction(a.num[0] + b.num[0])
+            return Scalar._canonical(_padd(a.num, b.num))
+        if len(b.den) == 1:
+            a, b = b, a
+        if len(a.den) == 1:
+            return Scalar._canonical(_padd(_pmul(a.num, b.den), b.num), b.den)
+        return Scalar(_padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_pneg(self.num), self.den)
+        return Scalar._canonical(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -212,8 +291,17 @@ class Scalar:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        a, b = self, self._coerce(other)
+        if not a.num or not b.num:
+            return ZERO
+        if len(b.num) == 1 and len(b.den) == 1:
+            a, b = b, a
+        if len(a.num) == 1 and len(a.den) == 1:
+            c = a.num[0]
+            return b if c == 1 else Scalar._canonical(tuple([c * x for x in b.num]), b.den)
+        if len(a.den) == 1 and len(b.den) == 1:
+            return Scalar._canonical(_pmul(a.num, b.num))
+        return Scalar(_pmul(a.num, b.num), _pmul(a.den, b.den))
 
     __rmul__ = __mul__
 
@@ -221,6 +309,9 @@ class Scalar:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero in Q(s)")
+        if len(other.num) == 1 and len(other.den) == 1:
+            c = other.num[0]
+            return self if c == 1 else Scalar._canonical(tuple([x / c for x in self.num]), self.den)
         return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
@@ -241,7 +332,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.from_fraction(other)
+            return self.is_rational and self.as_fraction() == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -272,7 +363,7 @@ def _wrap(text: str) -> str:
 
 
 ZERO = Scalar(_P_ZERO)
-ONE = Scalar(_P_ONE)
+ONE = Scalar.from_fraction(1)
 S = Scalar((Fraction(0), Fraction(1)))
 
 
@@ -283,9 +374,10 @@ class ScalarParseError(ValueError):
 
 
 # Largest exponent, and largest degree of any power, sum, product or quotient,
-# that the parser builds.  Far above the degrees of real input; the cost of
-# arithmetic grows with the square of the degree, so without a cap a short
-# string can run for hours.
+# that the parser builds.  Far above the degrees of real input.  The cost of
+# polynomial arithmetic grows at least with the square of the degree, and an
+# exponent makes the degree grow with the length of the string, so without a
+# cap a short string such as "(s+1)^99999999" would not finish.
 MAX_DEGREE = 32
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(s)|([+\-*/^()]))")
@@ -328,6 +420,14 @@ class _Parser:
     def fail(self, message):
         raise ScalarParseError(f"{message} in {self.text!r}")
 
+    def integer(self, token: int) -> int:
+        """The integer literal at token index ``token``; one longer than
+        Python's digit limit for int() is a located parse error."""
+        try:
+            return int(self.tokens[token][1])
+        except ValueError:
+            self.fail(f"integer literal above the digit limit at position {self.tokens[token][2]}")
+
     def bound(self, degree: int, token: int):
         """Reject a result of the given degree built at token index ``token``."""
         if degree > MAX_DEGREE:
@@ -369,7 +469,7 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 self.fail("exponent must be a nonnegative integer")
-            exponent = int(text)
+            exponent = self.integer(self.pos - 1)
             self.bound(max(exponent, _degree(base) * exponent), self.pos - 1)
             return base ** exponent
         return base
@@ -377,7 +477,7 @@ class _Parser:
     def atom(self) -> Scalar:
         kind, text = self.take()
         if kind == "int":
-            return Scalar.from_fraction(int(text))
+            return Scalar.from_fraction(self.integer(self.pos - 1))
         if kind == "s":
             return S
         if (kind, text) == ("op", "("):
@@ -462,7 +562,8 @@ class ScalarMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        grid = tuple(tuple(Scalar._coerce(e) for e in row) for row in entries)
+        grid = tuple(tuple([e if isinstance(e, Scalar) else Scalar._coerce(e) for e in row])
+                     for row in entries)
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", grid)
@@ -582,28 +683,45 @@ class RrefResult(NamedTuple):
 
 
 def rref(m: ScalarMatrix) -> RrefResult:
-    """Unique reduced row echelon form over Q(s)."""
-    work = [list(row) for row in m.entries]
+    """Unique reduced row echelon form over Q(s).
+
+    A matrix of rational constants is eliminated in ``Fraction``s; since
+    the RREF is unique, the result equals the one over Q(s).  Either way
+    the same loop runs, testing entries only with ``not x`` and ``p != 1``.
+    """
+    rational = all(e.is_rational for row in m.entries for e in row)
+    if rational:
+        work = [[e.num[0] if e.num else _F_ZERO for e in row] for row in m.entries]
+    else:
+        work = [list(row) for row in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not work[i][c].is_zero), None)
+        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        p = work[r][c]
-        if p != ONE:
-            work[r] = [e / p for e in work[r]]
+        prow = work[r]
+        # rows r.. are zero left of c, so the pivot row is too
+        support = [j for j in range(c, ncols) if prow[j]]
+        p = prow[c]
+        if p != 1:
+            for j in support:
+                prow[j] = prow[j] / p
         for i in range(nrows):
-            if i == r or work[i][c].is_zero:
+            row = work[i]
+            f = row[c]
+            if i == r or not f:
                 continue
-            f = work[i][c]
-            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            for j in support:
+                row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    if rational:
+        work = [[Scalar._canonical((x,)) if x else ZERO for x in row] for row in work]
     return RrefResult(r, tuple(pivots), ScalarMatrix(work))
 
 
@@ -756,10 +874,8 @@ def primitive_factor(entries: Sequence[Scalar]) -> Scalar:
         gcd_poly = _pgcd(gcd_poly, (factor * e).num)
     if len(gcd_poly) > 1:
         factor = factor / Scalar(gcd_poly)
-    coeffs = [c for e in entries for c in (factor * e).num]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    content = math.gcd(*(c.numerator * den // c.denominator for c in coeffs))
-    factor = factor * Scalar.from_fraction(Fraction(den, content))
+    content, _ = _pprimitive([c for e in entries for c in (factor * e).num])
+    factor = factor / Scalar.from_fraction(content)
     return -factor if (factor * entries[0]).num[-1] < 0 else factor
 
 

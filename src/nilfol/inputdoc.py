@@ -9,6 +9,7 @@ the format carries no floating point anywhere.  Indices are 1-based.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,9 +58,15 @@ class InputDocument:
         return Fraction(self.param_sample)
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator():
+    """The input-schema validator, built and checked against its metaschema
+    once, on first use."""
     with resources.files("nilfol").joinpath("data/input.schema.json").open("rb") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _check_scalar(text: str, where: str) -> str:
@@ -76,11 +83,11 @@ def parse_text(text: str, source: str = "<input>") -> InputDocument:
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                          source) from None
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise InputError(exc.message, f"{source}:{path}" if path else source) from None
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path)
+        raise InputError(error.message, f"{source}:{path}" if path else source)
 
     n = raw["dim"]
     basis = raw.get("basis")

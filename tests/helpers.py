@@ -71,6 +71,41 @@ def greedy_extend(base: Subspace, candidates) -> list:
     return chosen
 
 
+# -- reference polynomial gcd ------------------------------------------------
+
+def euclid_gcd(a, b) -> tuple:
+    """Monic gcd of two coefficient tuples (constant term first) by Euclid's
+    algorithm with Fraction coefficients; () if both are zero."""
+    a = _frac_trim(a)
+    b = _frac_trim(b)
+    while b:
+        rem = list(a)
+        while len(rem) >= len(b):
+            q = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            for i, c in enumerate(b):
+                rem[shift + i] -= q * c
+            rem = list(_frac_trim(rem[:-1]))
+        a, b = b, tuple(rem)
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+def _frac_trim(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def random_poly(rng: random.Random, max_deg: int, span: int = 9) -> tuple:
+    """Nonzero coefficient tuple of degree at most max_deg."""
+    cs = [Fraction(rng.randint(-span, span), rng.randint(1, 6))
+          for _ in range(rng.randint(1, max_deg + 1))]
+    if not cs[-1]:
+        cs[-1] = Fraction(1)
+    return tuple(cs)
+
+
 # -- specialization of whole structures ----------------------------------
 
 def specialize_scalar(x: Scalar, sigma) -> Scalar:

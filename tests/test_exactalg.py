@@ -8,6 +8,9 @@ import pytest
 
 from nilfol.exactalg import (
     MAX_DEGREE,
+    _pdiv_exact,
+    _pgcd,
+    _pmul,
     ONE,
     S,
     ZERO,
@@ -28,10 +31,12 @@ from nilfol.exactalg import (
 )
 
 from helpers import (
+    euclid_gcd,
     frac_rank,
     greedy_extend,
     random_matrix,
     random_nonzero_scalar,
+    random_poly,
     random_scalar,
 )
 
@@ -140,6 +145,83 @@ class TestFieldAxioms:
             assert again.num == a.num and again.den == a.den
 
 
+class TestPolynomialGcd:
+    """The primitive-PRS gcd against Euclid over Fraction coefficients."""
+
+    def test_matches_euclid_on_seeded_pairs(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            common = random_poly(rng, 3)
+            a = _pmul(common, random_poly(rng, 4))
+            b = _pmul(common, random_poly(rng, 4))
+            assert _pgcd(a, b) == euclid_gcd(a, b)
+            c, d = random_poly(rng, 5), random_poly(rng, 5)
+            assert _pgcd(c, d) == euclid_gcd(c, d)
+
+    def test_large_coefficients_and_repeated_factors(self):
+        rng = random.Random(42)
+        for _ in range(20):
+            common = _pmul(random_poly(rng, 2, span=10**6), random_poly(rng, 2))
+            a = _pmul(_pmul(common, common), random_poly(rng, 3, span=10**4))
+            b = _pmul(common, random_poly(rng, 3))
+            assert _pgcd(a, b) == euclid_gcd(a, b)
+            assert _pgcd(b, a) == euclid_gcd(a, b)
+
+    def test_constants_zero_and_equal_inputs(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            a = random_poly(rng, 4)
+            const = (F(rng.randint(1, 9), rng.randint(1, 9)),)
+            assert _pgcd(a, const) == _pgcd(const, a) == euclid_gcd(a, const) == (1,)
+            assert _pgcd(a, ()) == _pgcd((), a) == euclid_gcd(a, ())
+            assert _pgcd(a, a) == euclid_gcd(a, a)
+            assert _pgcd(a, a)[-1] == 1
+        assert _pgcd((), ()) == euclid_gcd((), ()) == ()
+
+    def test_exact_division(self):
+        rng = random.Random(44)
+        for _ in range(50):
+            a, b = random_poly(rng, 4), random_poly(rng, 3)
+            assert _pdiv_exact(_pmul(a, b), b) == a
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact((F(1), F(0), F(1)), (F(1), F(1)))
+
+    def test_arithmetic_stays_canonical(self):
+        # the shortcuts of + - * / give what normalising in __init__ gives
+        rng = random.Random(45)
+        pool = [ZERO, ONE, -ONE, S, S * S + ONE]
+
+        def draw():
+            return random_scalar(rng) if rng.random() < 0.6 else rng.choice(pool)
+
+        def normalised_sum(a, b):
+            return Scalar(_padd_ref(_pmul(a.num, b.den), _pmul(b.num, a.den)),
+                          _pmul(a.den, b.den))
+
+        for _ in range(200):
+            a, b = draw(), draw()
+            neg_b = Scalar([-c for c in b.num], b.den)
+            cases = [
+                (a + b, normalised_sum(a, b)),
+                (a - b, normalised_sum(a, neg_b)),
+                (-b, neg_b),
+                (a * b, Scalar(_pmul(a.num, b.num), _pmul(a.den, b.den))),
+            ]
+            if b:
+                cases.append((a / b, Scalar(_pmul(a.num, b.den), _pmul(a.den, b.num))))
+            for got, want in cases:
+                assert (got.num, got.den) == (want.num, want.den)
+
+
+def _padd_ref(a, b):
+    out = [F(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
 def _iwasawa_d1_matrix():
     # rows: 2-form coordinates, columns: the nine 1-forms; filled from the
     # structure constants [e1,e4]=e6, [e1,e5]=e8, [e2,e4]=e8, [e2,e5]=-e6,
@@ -195,6 +277,75 @@ class TestRref:
                 except ZeroDivisionError:
                     continue
                 assert frac_rank(numeric) <= r
+
+
+    def test_rational_and_q_s_paths_agree_on_a_shared_row_space(self):
+        # P = s*I + Q is invertible over Q(s) (its determinant is monic in s),
+        # so P*R has the row space of R; R takes the Fraction path, P*R not
+        rng = random.Random(47)
+        for _ in range(20):
+            n, r = rng.randint(2, 6), rng.randint(1, 4)
+            rational = ScalarMatrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                                     for _ in range(r)])
+            p = ScalarMatrix([[(S if i == j else ZERO) + rng.randint(-2, 2) for j in range(r)]
+                              for i in range(r)])
+            mixed = p.matmul(rational)
+            assert not all(e.is_rational for row in mixed.entries for e in row)
+            assert rref(rational) == rref(mixed)
+            assert Subspace(n, rational.entries) == Subspace(n, mixed.entries)
+            assert kernel(rational) == kernel(mixed)
+
+
+class TestRrefAgainstSympy:
+    """Pivots and every reduced entry against sympy's DomainMatrix."""
+
+    def _check(self, m: ScalarMatrix, rational: bool):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        s = sympy.Symbol("s")
+        domain = sympy.QQ if rational else sympy.QQ.frac_field(s)
+
+        def convert(x: Scalar):
+            num, den = (sum(sympy.Rational(c.numerator, c.denominator) * s**i
+                            for i, c in enumerate(cs)) for cs in (x.num, x.den))
+            return domain.from_sympy(num / den)
+
+        theirs, pivots = DomainMatrix([[convert(e) for e in row] for row in m.entries],
+                                      (m.rows, m.cols), domain).rref()
+        ours = rref(m)
+        assert ours.pivots == tuple(pivots)
+        assert [[convert(e) for e in row] for row in ours.reduced.entries] == theirs.to_list()
+
+    @staticmethod
+    def _low_rank(rows, cols, rank, entry):
+        # rows x rank times rank x cols, so the rank is at most ``rank``
+        left = ScalarMatrix([[entry() for _ in range(rank)] for _ in range(rows)])
+        right = ScalarMatrix([[entry() for _ in range(cols)] for _ in range(rank)])
+        return left.matmul(right)
+
+    def test_rational_matrices(self):
+        rng = random.Random(48)
+
+        def entry():
+            if rng.random() < 0.3:
+                return ZERO
+            return Scalar.from_fraction(F(rng.randint(-9, 9), rng.randint(1, 5)))
+
+        for _ in range(25):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            m = self._low_rank(rows, cols, rng.randint(1, 4), entry)
+            assert all(e.is_rational for row in m.entries for e in row)
+            self._check(m, rational=True)
+
+    def test_q_s_matrices(self):
+        rng = random.Random(49)
+        for _ in range(15):
+            self._check(random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5)), rational=False)
+        for _ in range(10):
+            m = self._low_rank(rng.randint(2, 5), rng.randint(2, 5), rng.randint(1, 2),
+                               lambda: random_scalar(rng, max_deg=1))
+            self._check(m, rational=False)
 
 
 class TestKernel:

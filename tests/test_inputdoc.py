@@ -85,3 +85,10 @@ def test_oversized_power_is_rejected_quickly():
     start = time.perf_counter()
     assert where_of(change).endswith("foliation/0/0")
     assert time.perf_counter() - start < 1
+
+
+def test_overlong_integer_literal_is_located():
+    # longer than Python's default limit of 4300 digits for int()
+    def change(raw):
+        raw["foliation"][0][0] = "1" + "0" * 5000
+    assert where_of(change).endswith("foliation/0/0")
