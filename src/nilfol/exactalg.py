@@ -25,11 +25,13 @@ have identical representations), decomposition of Q(s)-vectors into their
 rational coefficient layers, extraction of the rational members of a
 subspace, and integer lattices in Hermite normal form.
 
-``rref`` is the one elimination loop.  A matrix whose entries are all
-rational constants is eliminated on ``Fraction``s and wrapped back into
-scalars; any other matrix on scalars.  The RREF is unique, so both give
-the same result.  Each row update touches only the columns where the
-pivot row is nonzero.
+``rref`` is the one elimination loop.  Its work rows are sparse dicts of
+their nonzero entries (the d-matrices are mostly zeros): a pivot is found
+by membership, a row update touches only the pivot row's nonzeros, and
+entries that cancel are deleted.  A matrix whose entries are all rational
+constants is eliminated on ``Fraction``s and wrapped back into scalars;
+any other matrix on scalars.  The RREF is unique, so both give the same
+result.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 Coeffs = tuple[Fraction, ...]
 
-# Coefficient tuples are built from lists, not generators.  CPython sizes a
-# tuple(generator) at 10 and then shrinks it, which moves tuples into its
-# per-length free lists; on the s-family benchmark that held about 2 MB more
-# peak memory.
+# Coefficient tuples and vectors are built from lists, not generators.
+# CPython sizes a tuple(generator) at 10 and then shrinks it, which moves
+# tuples into its per-length free lists; on the s-family benchmark that held
+# about 2 MB more peak memory.
 
 _F_ZERO = Fraction(0)
 _P_ZERO: Coeffs = ()
@@ -513,7 +515,7 @@ Vector = tuple[Scalar, ...]
 
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(Scalar._coerce(e) for e in entries)
+    return tuple([e if isinstance(e, Scalar) else Scalar._coerce(e) for e in entries])
 
 
 def zero_vector(n: int) -> Vector:
@@ -521,15 +523,15 @@ def zero_vector(n: int) -> Vector:
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    return tuple([ONE if j == i else ZERO for j in range(n)])
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return tuple([x + y for x, y in zip(a, b, strict=True)])
 
 
 def vec_scale(c: Scalar, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def vec_is_zero(a: Vector) -> bool:
@@ -562,8 +564,8 @@ class ScalarMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        grid = tuple(tuple([e if isinstance(e, Scalar) else Scalar._coerce(e) for e in row])
-                     for row in entries)
+        grid = tuple([tuple([e if isinstance(e, Scalar) else Scalar._coerce(e) for e in row])
+                      for row in entries])
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", grid)
@@ -572,6 +574,16 @@ class ScalarMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarMatrix is immutable")
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[Vector, ...], cols: int) -> "ScalarMatrix":
+        """The matrix with the given rows, which must be tuples of ``cols``
+        Scalars; nothing is checked or coerced."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", rows)
+        object.__setattr__(out, "rows", len(rows))
+        object.__setattr__(out, "cols", cols)
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "ScalarMatrix":
@@ -588,7 +600,7 @@ class ScalarMatrix:
         return self.entries[i]
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return tuple([row[j] for row in self.entries])
 
     def transpose(self) -> "ScalarMatrix":
         return ScalarMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -685,44 +697,60 @@ class RrefResult(NamedTuple):
 def rref(m: ScalarMatrix) -> RrefResult:
     """Unique reduced row echelon form over Q(s).
 
+    Each work row is a dict ``{col: value}`` of its nonzero entries, built
+    in the scan that decides whether every entry is a rational constant.
     A matrix of rational constants is eliminated in ``Fraction``s; since
     the RREF is unique, the result equals the one over Q(s).  Either way
-    the same loop runs, testing entries only with ``not x`` and ``p != 1``.
+    the same loop runs: the pivot of column c is the first remaining row
+    with c among its keys, a row update walks the pivot row's items, and
+    entries that cancel are deleted.  The result is dense.
     """
-    rational = all(e.is_rational for row in m.entries for e in row)
+    work: list[dict] = []
+    rational = True
+    for row in m.entries:
+        nonzero = {j: e for j, e in enumerate(row) if e.num}
+        if rational:
+            rational = all([e.is_rational for e in nonzero.values()])
+        work.append(nonzero)
+    zero = _F_ZERO if rational else ZERO
     if rational:
-        work = [[e.num[0] if e.num else _F_ZERO for e in row] for row in m.entries]
-    else:
-        work = [list(row) for row in m.entries]
+        work = [{j: e.num[0] for j, e in row.items()} for row in work]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
+        pivot = next((i for i in range(r, nrows) if c in work[i]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         prow = work[r]
-        # rows r.. are zero left of c, so the pivot row is too
-        support = [j for j in range(c, ncols) if prow[j]]
         p = prow[c]
         if p != 1:
-            for j in support:
+            for j in prow:
                 prow[j] = prow[j] / p
+        support = list(prow.items())
         for i in range(nrows):
             row = work[i]
-            f = row[c]
-            if i == r or not f:
+            f = row.get(c)
+            if f is None or i == r:
                 continue
-            for j in support:
-                row[j] = row[j] - f * prow[j]
+            for j, x in support:
+                y = row.get(j, zero) - f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    if rational:
-        work = [[Scalar._canonical((x,)) if x else ZERO for x in row] for row in work]
-    return RrefResult(r, tuple(pivots), ScalarMatrix(work))
+    reduced = []
+    for row in work:
+        dense = [ZERO] * ncols
+        for j, x in row.items():
+            dense[j] = Scalar._canonical((x,)) if rational else x
+        reduced.append(tuple(dense))
+    return RrefResult(r, tuple(pivots), ScalarMatrix._of_rows(tuple(reduced), ncols))
 
 
 def kernel(m: ScalarMatrix) -> "Subspace":
@@ -753,8 +781,8 @@ class Subspace:
             if len(row) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
         if rows:
-            result = rref(ScalarMatrix(rows))
-            basis = tuple(result.reduced.entries[i] for i in range(result.rank))
+            result = rref(ScalarMatrix._of_rows(tuple(rows), ambient_dim))
+            basis = result.reduced.entries[:result.rank]
         else:
             basis = ()
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -1050,5 +1078,5 @@ def hnf_lattice(generators: Sequence[Sequence[Fraction | int]]) -> IntLattice:
     scale, hnf = hnf_rows(gens)
     if len(hnf) < k:
         raise ValueError("lattice not full rank")
-    basis = tuple(tuple(Fraction(e, scale) for e in row) for row in hnf)
+    basis = tuple([tuple([Fraction(e, scale) for e in row]) for row in hnf])
     return IntLattice(k, basis)

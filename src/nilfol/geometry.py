@@ -2,9 +2,9 @@
 of the leaf foliation, bundle-like and coclosedness checks.
 
 Nothing here takes a square root.  Orthonormalization is avoided by
-routing every formula through Gram-matrix inverses, and the Hodge star is
-used only up to the positive constant sqrt(det G), which no zero-test can
-see because invariant metrics make that factor a global constant.
+routing every formula through Gram-matrix inverses, and the coclosedness
+check contracts e^{1..n} instead of the volume form sqrt(det G) e^{1..n}
+(see ``coclosed_check`` for why that changes no zero-test).
 
 Positive-definiteness of a Gram matrix over Q(s) is not decidable
 per-parameter without real-algebraic machinery; the module computes the
@@ -32,7 +32,7 @@ from .exactalg import (
     unit_vector,
     zero_vector,
 )
-from .invforms import InvForm, ce_d, multi_indices
+from .invforms import InvForm, ce_d
 from .liealg import LeafSubalgebra, LieAlgebra
 
 
@@ -79,7 +79,7 @@ class Metric:
     def sharp(self, alpha: InvForm) -> Vector:
         if alpha.degree != 1:
             raise ValueError("sharp takes a 1-form")
-        coords = tuple(alpha.coefficient((i,)) for i in range(self.n))
+        coords = tuple([alpha.coefficient((i,)) for i in range(self.n)])
         return self.inverse().apply(coords)
 
     def leading_minors(self) -> list[Scalar]:
@@ -277,60 +277,30 @@ def bundle_like_check(g: LieAlgebra, leaf: LeafSubalgebra, metric: Metric) -> Bu
     return BundleLikeResult(True, None)
 
 
-# -- Hodge star and coclosedness ------------------------------------------------
-
-def _complement_sign(idx: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]]:
-    comp = tuple(i for i in range(n) if i not in idx)
-    perm = idx + comp
-    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                     if perm[a] > perm[b])
-    return (-1 if inversions % 2 else 1), comp
-
-
-def hodge_star(metric: Metric, form: InvForm) -> InvForm:
-    """Hodge star without the constant sqrt(det G) normalization.
-
-    Characterized by  a ^ star(b) = <a, b> e^{1..n}  where the pairing of
-    basis forms is the minor determinant of the inverse Gram matrix.
-    Sufficient for every zero-test downstream; not an isometry.
-    """
-    n = metric.n
-    if form.n != n:
-        raise ValueError("form dimension mismatch")
-    k = form.degree
-    ginv = metric.inverse()
-    out: dict[tuple[int, ...], Scalar] = {}
-    for idx in multi_indices(n, k):
-        val = ZERO
-        for jdx, coeff in form.coeffs.items():
-            minor = ScalarMatrix([[ginv.entries[i][j] for j in jdx] for i in idx])
-            det = minor.det() if k else ONE
-            if not det.is_zero:
-                val = val + coeff * det
-        if val.is_zero:
-            continue
-        sign, comp = _complement_sign(idx, n)
-        out[comp] = out.get(comp, ZERO) + (val if sign > 0 else -val)
-    return InvForm(n, n - k, out)
-
-
-def characteristic_form(leaf: LeafSubalgebra, metric: Metric) -> InvForm:
-    """Wedge of the flats of a leaf basis (constant rescaling of the usual
-    characteristic form; the constant is irrelevant for zero-tests)."""
-    chi = InvForm.constant(metric.n, ONE)
-    for v in leaf.space.basis:
-        chi = chi.wedge(metric.flat(v))
-    return chi
-
+# -- coclosedness ----------------------------------------------------------------
 
 def coclosed_check(g: LieAlgebra, leaf: LeafSubalgebra, metric: Metric,
                    alpha: InvForm) -> bool:
     """Whether a basic 1-form is coclosed for the transverse star:
-    d(star(alpha ^ chi)) = 0 with the unnormalized star and characteristic
-    form (the dropped constants cannot affect the zero-test)."""
+    d(star(alpha ^ chi)) = 0, chi the characteristic form of the leaves.
+
+    For vectors X_1..X_k, star(X_1^flat ^ ... ^ X_k^flat) is
+    i_{X_k} ... i_{X_1} vol.  With chi the wedge of the flats of the leaf
+    basis v_1..v_p this gives
+
+        star(alpha ^ chi) = i_{v_p} ... i_{v_1} i_{alpha^sharp} vol,
+
+    so the only inverse needed is alpha^sharp.  The form is contracted out
+    of e^{1..n} instead of vol = sqrt(det G) e^{1..n}, and chi is not
+    normalised by the leaf Gram determinant.  Both factors are nonzero
+    constants, and d is linear over constants, so d of the result vanishes
+    exactly when d of the true star does.
+    """
     if alpha.degree != 1:
         raise ValueError("coclosedness is checked for 1-forms")
     if not _is_basic(g, leaf, alpha):
         raise ValueError("form is not basic for the foliation")
-    chi = characteristic_form(leaf, metric)
-    return ce_d(g, hodge_star(metric, alpha.wedge(chi))).is_zero
+    star = InvForm.basis_form(metric.n, range(metric.n)).interior(metric.sharp(alpha))
+    for v in leaf.space.basis:
+        star = star.interior(v)
+    return ce_d(g, star).is_zero

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they are used to check:
 rank is recomputed with plain Fraction Gaussian elimination after
 specializing s, the exterior differential is evaluated through the full
-alternating sum over basis tuples, and forms are evaluated as determinants.
+alternating sum over basis tuples, forms are evaluated as determinants, and
+the Hodge star pairs basis forms through minors of the inverse Gram matrix.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from nilfol.exactalg import (
     vec_scale,
     zero_vector,
 )
-from nilfol.invforms import InvForm
-from nilfol.liealg import LieAlgebra
+from nilfol.geometry import Metric
+from nilfol.invforms import InvForm, multi_indices
+from nilfol.liealg import LeafSubalgebra, LieAlgebra
 
 
 # -- independent rank oracle over Q --------------------------------------
@@ -54,6 +56,27 @@ def frac_rank(rows: list[list[Fraction]]) -> int:
 
 def specialize_matrix_rank(m: ScalarMatrix, sigma: Fraction) -> int:
     return frac_rank(m.evaluate(sigma))
+
+
+# -- sympy rank oracle ---------------------------------------------------------
+
+def sympy_rank(m: ScalarMatrix) -> int:
+    """Rank of m from sympy's DomainMatrix over QQ or QQ(s); callers skip
+    the test first when sympy is missing."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    s = sympy.Symbol("s")
+    rational = all(e.is_rational for row in m.entries for e in row)
+    domain = sympy.QQ if rational else sympy.QQ.frac_field(s)
+
+    def convert(x: Scalar):
+        num, den = (sum(sympy.Rational(c.numerator, c.denominator) * s**i
+                        for i, c in enumerate(cs)) for cs in (x.num, x.den))
+        return domain.from_sympy(num / den)
+
+    return DomainMatrix([[convert(e) for e in row] for row in m.entries],
+                        (m.rows, m.cols), domain).rank()
 
 
 # -- reference basis extension -----------------------------------------------
@@ -170,6 +193,52 @@ def d_oracle(g: LieAlgebra, form: InvForm) -> InvForm:
         if not total.is_zero:
             coeffs[J] = total
     return InvForm(n, k + 1, coeffs)
+
+
+# -- reference Hodge star by inverse-Gram minors -----------------------------
+
+def _complement_sign(idx: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]]:
+    comp = tuple(i for i in range(n) if i not in idx)
+    perm = idx + comp
+    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+                     if perm[a] > perm[b])
+    return (-1 if inversions % 2 else 1), comp
+
+
+def hodge_star(metric: Metric, form: InvForm) -> InvForm:
+    """Hodge star without the constant sqrt(det G) normalization.
+
+    Characterized by  a ^ star(b) = <a, b> e^{1..n}  where the pairing of
+    basis forms is the minor determinant of the inverse Gram matrix.
+    Sufficient for every zero-test downstream; not an isometry.
+    """
+    n = metric.n
+    if form.n != n:
+        raise ValueError("form dimension mismatch")
+    k = form.degree
+    ginv = metric.inverse()
+    out: dict[tuple[int, ...], Scalar] = {}
+    for idx in multi_indices(n, k):
+        val = ZERO
+        for jdx, coeff in form.coeffs.items():
+            minor = ScalarMatrix([[ginv.entries[i][j] for j in jdx] for i in idx])
+            det = minor.det() if k else ONE
+            if not det.is_zero:
+                val = val + coeff * det
+        if val.is_zero:
+            continue
+        sign, comp = _complement_sign(idx, n)
+        out[comp] = out.get(comp, ZERO) + (val if sign > 0 else -val)
+    return InvForm(n, n - k, out)
+
+
+def characteristic_form(leaf: LeafSubalgebra, metric: Metric) -> InvForm:
+    """Wedge of the flats of a leaf basis (constant rescaling of the usual
+    characteristic form; the constant is irrelevant for zero-tests)."""
+    chi = InvForm.constant(metric.n, ONE)
+    for v in leaf.space.basis:
+        chi = chi.wedge(metric.flat(v))
+    return chi
 
 
 # -- random generators -----------------------------------------------------

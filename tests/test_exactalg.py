@@ -29,6 +29,7 @@ from nilfol.exactalg import (
     unit_vector,
     vec,
 )
+from nilfol.invforms import d_matrix
 
 from helpers import (
     euclid_gcd,
@@ -39,6 +40,7 @@ from helpers import (
     random_poly,
     random_scalar,
 )
+from test_liealg import iwasawa9
 
 
 F = Fraction
@@ -346,6 +348,59 @@ class TestRrefAgainstSympy:
             m = self._low_rank(rng.randint(2, 5), rng.randint(2, 5), rng.randint(1, 2),
                                lambda: random_scalar(rng, max_deg=1))
             self._check(m, rational=False)
+
+
+    def test_zero_matrix(self):
+        self._check(ScalarMatrix.zeros(4, 6), rational=True)
+
+    def test_empty_rows_and_columns(self):
+        rng = random.Random(50)
+        for _ in range(15):
+            rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+            empty_rows = set(rng.sample(range(rows), rng.randint(1, rows - 1)))
+            empty_cols = set(rng.sample(range(cols), rng.randint(1, cols - 1)))
+            m = ScalarMatrix([[ZERO if i in empty_rows or j in empty_cols
+                               else random_nonzero_scalar(rng, max_deg=1)
+                               for j in range(cols)] for i in range(rows)])
+            self._check(m, rational=False)
+
+    @staticmethod
+    def _sparse_block_diagonal(rng, blocks, entry):
+        # square blocks of size 1..4, about half filled, rows shuffled so
+        # that pivots are found away from the diagonal
+        sizes = [rng.randint(1, 4) for _ in range(blocks)]
+        n = sum(sizes)
+        rows = [[ZERO] * n for _ in range(n)]
+        start = 0
+        for size in sizes:
+            for i in range(start, start + size):
+                for j in range(start, start + size):
+                    if rng.random() < 0.5:
+                        rows[i][j] = entry()
+            start += size
+        rng.shuffle(rows)
+        m = ScalarMatrix(rows)
+        nonzero = sum(1 for row in m.entries for e in row if not e.is_zero)
+        assert nonzero <= 0.05 * n * n
+        return m
+
+    def test_sparse_block_diagonal_rational(self):
+        rng = random.Random(51)
+        for _ in range(4):
+            m = self._sparse_block_diagonal(
+                rng, 24, lambda: Scalar.from_fraction(F(rng.randint(1, 9), rng.randint(1, 5))))
+            self._check(m, rational=True)
+
+    def test_sparse_block_diagonal_q_s(self):
+        rng = random.Random(52)
+        for _ in range(2):
+            m = self._sparse_block_diagonal(rng, 20, lambda: random_nonzero_scalar(rng, max_deg=1))
+            self._check(m, rational=False)
+
+    def test_iwasawa9_four_form_differential(self):
+        m = d_matrix(iwasawa9(), 4)
+        assert (m.rows, m.cols) == (126, 126)
+        self._check(m, rational=True)
 
 
 class TestKernel:

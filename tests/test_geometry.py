@@ -10,6 +10,7 @@ from nilfol.exactalg import (
     S,
     Scalar,
     ScalarMatrix,
+    Subspace,
     ZERO,
     unit_vector,
     vec,
@@ -18,19 +19,24 @@ from nilfol.exactalg import (
 from nilfol.geometry import (
     Metric,
     bundle_like_check,
-    characteristic_form,
     coclosed_check,
-    hodge_star,
     is_metric_compatible,
     is_torsion_free,
     levi_civita,
     mean_curvature,
     orthogonal_complement,
 )
-from nilfol.invforms import InvForm, ce_d
+from nilfol.invforms import InvForm, basic_forms, ce_d, vector_to_form
 from nilfol.liealg import LeafSubalgebra
 
-from helpers import random_form, random_two_step_algebra
+from helpers import (
+    characteristic_form,
+    hodge_star,
+    random_form,
+    random_fraction,
+    random_two_step_algebra,
+    random_vector,
+)
 from test_liealg import abelian, heisenberg3, iwasawa9, iwasawa_leaf
 
 F = Fraction
@@ -202,6 +208,44 @@ class TestCoclosed:
         leaf = iwasawa_leaf(g)
         with pytest.raises(ValueError, match="not basic"):
             coclosed_check(g, leaf, Metric.identity(9), InvForm.basis_form(9, (1,)))
+
+    def test_interior_star_matches_reference_star(self):
+        # rational diagonal and six off-diagonal pairs, the first a + b*s;
+        # a draw that is singular over Q(s) is skipped.  Rational algebras
+        # and leaves keep the reference star affordable; s enters through
+        # the metric.
+        rng = random.Random(58)
+        outcomes = []
+        for _ in range(20):
+            g = random_two_step_algebra(rng, with_s=False)
+            n = g.n
+            gram = [[Scalar.from_fraction(rng.randint(2, 4)) if i == j else ZERO
+                     for j in range(n)] for i in range(n)]
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for t, (i, j) in enumerate(rng.sample(pairs, min(6, len(pairs)))):
+                x = random_fraction(rng, 2) + (S * random_fraction(rng, 1) if t == 0 else 0)
+                gram[i][j] = gram[j][i] = x
+            metric = Metric(ScalarMatrix(gram))
+            try:
+                metric.inverse()
+            except ValueError:
+                continue
+            seeds = [random_vector(rng, n, rational=True) for _ in range(rng.randint(1, 2))]
+            leaf = LeafSubalgebra(g, g.bracket_closure(Subspace(n, seeds)).basis)
+            chi = characteristic_form(leaf, metric)
+            basic = [vector_to_form(n, 1, row) for row in basic_forms(g, leaf, 1).basis]
+            if len(basic) > 1:
+                basic.append(basic[0].add(basic[1].scale(Scalar.from_fraction(-3))))
+            for alpha in basic:
+                star = InvForm.basis_form(n, range(n)).interior(metric.sharp(alpha))
+                for v in leaf.space.basis:
+                    star = star.interior(v)
+                reference = hodge_star(metric, alpha.wedge(chi))
+                assert star == reference
+                expected = ce_d(g, reference).is_zero
+                assert coclosed_check(g, leaf, metric, alpha) == expected
+                outcomes.append(expected)
+        assert outcomes.count(False) >= 3 and outcomes.count(True) >= 3
 
     def test_characteristic_form_degree(self):
         g = iwasawa9()

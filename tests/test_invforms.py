@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilfol.exactalg import ONE, S, Subspace, ZERO, unit_vector, vec
+from nilfol.exactalg import ONE, S, Subspace, ZERO, kernel, unit_vector, vec
 from nilfol.invforms import (
     InvForm,
     basic_forms,
@@ -28,6 +28,7 @@ from helpers import (
     random_two_step_algebra,
     specialize_algebra,
     specialize_vector,
+    sympy_rank,
 )
 
 from test_liealg import abelian, heisenberg3, iwasawa9, iwasawa_leaf
@@ -188,6 +189,30 @@ class TestCohomology:
                 assert ce_d(g, rep).is_zero
                 vectors.append(form_to_vector(rep))
             assert Subspace(len(multi_indices(9, k)), vectors).dim == len(vectors)
+
+
+class TestCohomologyAgainstSympy:
+    """dim ker d_k and dim H^k = dim ker d_k - rank d_{k-1} against ranks of
+    the d-matrices computed by sympy's DomainMatrix."""
+
+    def _check(self, g):
+        pytest.importorskip("sympy")
+        n = g.n
+        ranks = [sympy_rank(d_matrix(g, k)) for k in range(n)] + [0]
+        for k in range(n + 1):
+            forms = math.comb(n, k)
+            if k < n:
+                assert kernel(d_matrix(g, k)).dim == forms - ranks[k]
+            expected = forms - ranks[k] - (ranks[k - 1] if k else 0)
+            assert cohomology(g, k).dim == expected
+
+    def test_iwasawa9(self):
+        self._check(iwasawa9())
+
+    def test_random_two_step_algebras(self):
+        rng = random.Random(59)
+        for _ in range(6):
+            self._check(random_two_step_algebra(rng))
 
 
 class TestBasicForms:
