@@ -238,13 +238,8 @@ def basic_foliation_report(fnm: FoliatedNilmanifold) -> BasicFoliationReport:
     """Compare the rational rank with the first cohomology of the coarser
     foliation whose leaves point along the rational hull."""
     hull = fnm.algebra.rational_hull(fnm.leaf.space)
-    closed = kernel(d_matrix(fnm.algebra, 1))
-    conditions = [list(row) for row in hull.basis]
-    if conditions:
-        vanishing = kernel(ScalarMatrix(conditions))
-        space = closed.intersection(vanishing)
-    else:
-        space = closed
+    # closed 1-forms vanishing on the hull: one kernel of [hull; d_1]
+    space = kernel(ScalarMatrix._of_rows(hull.basis + d_matrix(fnm.algebra, 1).entries, fnm.n))
     k, _ = basic_rational_basis(fnm)
     return BasicFoliationReport(hull, fnm.n - hull.dim, space.dim, k, space.dim == k)
 

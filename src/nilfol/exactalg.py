@@ -25,6 +25,12 @@ have identical representations), decomposition of Q(s)-vectors into their
 rational coefficient layers, extraction of the rational members of a
 subspace, and integer lattices in Hermite normal form.
 
+Every subspace operation is one elimination whose output is already the
+RREF basis.  ``kernel`` reduces m with its columns reversed, so each
+reduced row ends at its pivot column; each kernel vector then has its
+leading 1 on its free column and zeros on the other free columns, which
+is RREF.  An intersection is one reduction of stacked rows (Zassenhaus).
+
 ``rref`` is the one elimination loop.  Its work rows are sparse dicts of
 their nonzero entries (the d-matrices are mostly zeros): a pivot is found
 by membership, a row update touches only the pivot row's nonzeros, and
@@ -593,12 +599,6 @@ class ScalarMatrix:
     def zeros(cls, rows: int, cols: int) -> "ScalarMatrix":
         return cls([[ZERO] * cols for _ in range(rows)])
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple([row[j] for row in self.entries])
 
@@ -668,9 +668,8 @@ class ScalarMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = ScalarMatrix([list(self.entries[i]) + list(ScalarMatrix.identity(n).entries[i])
-                            for i in range(n)])
-        result = rref(aug)
+        rows = tuple([row + unit_vector(n, i) for i, row in enumerate(self.entries)])
+        result = rref(ScalarMatrix._of_rows(rows, 2 * n))
         if result.rank < n or result.pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular over Q(s)")
         return ScalarMatrix([result.reduced.entries[i][n:] for i in range(n)])
@@ -754,18 +753,26 @@ def rref(m: ScalarMatrix) -> RrefResult:
 
 
 def kernel(m: ScalarMatrix) -> "Subspace":
-    """Basis of the right null space of m over Q(s)."""
-    result = rref(m)
-    pivots = set(result.pivots)
-    free = [c for c in range(m.cols) if c not in pivots]
+    """RREF basis of the right null space of m over Q(s), from one ``rref``.
+
+    m is reduced with its columns reversed, and each pivot q maps back to
+    the original column p = n - 1 - q.  Row r of that RREF is then nonzero
+    only on original columns <= p_r.  So for each free column f the vector
+    e_f - sum_r R[r][f] e_{p_r} has its leading 1 at f, zeros on every other
+    free column, and its other nonzeros on pivot columns right of f: taken
+    in increasing f these vectors already form the RREF basis.
+    """
+    n = m.cols
+    result = rref(ScalarMatrix._of_rows(tuple([row[::-1] for row in m.entries]), n))
+    pivots = [n - 1 - q for q in result.pivots]
     basis = []
-    for f in free:
-        v = [ZERO] * m.cols
+    for f in sorted(set(range(n)).difference(pivots)):
+        v = [ZERO] * n
         v[f] = ONE
-        for r, p in enumerate(result.pivots):
-            v[p] = -result.reduced.entries[r][f]
+        for row, p in zip(result.reduced.entries, pivots):
+            v[p] = -row[n - 1 - f]
         basis.append(tuple(v))
-    return Subspace(m.cols, basis)
+    return Subspace._of_basis(n, tuple(basis))
 
 
 # -- subspaces ----------------------------------------------------------
@@ -776,28 +783,32 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
-        rows = [vec(v) for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        if rows:
-            result = rref(ScalarMatrix._of_rows(tuple(rows), ambient_dim))
-            basis = result.reduced.entries[:result.rank]
-        else:
-            basis = ()
+        rows = tuple([vec(v) for v in vectors])
+        if any(len(row) != ambient_dim for row in rows):
+            raise ValueError("vector length does not match ambient dimension")
+        result = rref(ScalarMatrix._of_rows(rows, ambient_dim))
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", result.reduced.entries[:result.rank])
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
+    def _of_basis(cls, ambient_dim: int, basis: tuple[Vector, ...]) -> "Subspace":
+        """The subspace whose RREF basis is ``basis``: tuples of ``ambient_dim``
+        Scalars that must already be in RREF.  Nothing is checked or reduced."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient_dim", ambient_dim)
+        object.__setattr__(out, "basis", basis)
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, [])
+        return cls._of_basis(n, ())
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, [unit_vector(n, i) for i in range(n)])
+        return cls._of_basis(n, tuple([unit_vector(n, i) for i in range(n)]))
 
     @property
     def dim(self) -> int:
@@ -825,23 +836,14 @@ class Subspace:
         return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        # v in both spans iff v = u^T A = w^T B; solve A^T u - B^T w = 0.
+        # Zassenhaus: in the RREF of the rows [a | a] and [b | 0], the rows
+        # with pivot in the right half carry the RREF basis of A ∩ B there.
         self._check(other)
-        ra, rb = self.dim, other.dim
-        if ra == 0 or rb == 0:
-            return Subspace.zero(self.ambient_dim)
-        columns = []
-        for i in range(self.ambient_dim):
-            columns.append([self.basis[r][i] for r in range(ra)]
-                           + [-other.basis[r][i] for r in range(rb)])
-        solutions = kernel(ScalarMatrix(columns))
-        vectors = []
-        for sol in solutions.basis:
-            v = zero_vector(self.ambient_dim)
-            for r in range(ra):
-                v = vec_add(v, vec_scale(sol[r], self.basis[r]))
-            vectors.append(v)
-        return Subspace(self.ambient_dim, vectors)
+        n = self.ambient_dim
+        rows = tuple([a + a for a in self.basis] + [b + zero_vector(n) for b in other.basis])
+        rank, pivots, reduced = rref(ScalarMatrix._of_rows(rows, 2 * n))
+        start = sum(1 for p in pivots if p < n)
+        return Subspace._of_basis(n, tuple([row[n:] for row in reduced.entries[start:rank]]))
 
     def is_rational(self) -> bool:
         return all(e.is_rational for row in self.basis for e in row)

@@ -352,11 +352,13 @@ def basic_forms(g: LieAlgebra, leaf: LeafSubalgebra, k: int) -> Subspace:
 def basic_h1(g: LieAlgebra, leaf: LeafSubalgebra) -> CohomologyReport:
     """Closed basic invariant 1-forms.
 
+    A closed 1-form is basic iff it vanishes on the leaf, since i_v d(alpha)
+    = 0 holds once d(alpha) = 0.  So the space is one kernel: of the leaf
+    vectors (alpha(v) = 0) stacked on the rows of d_1 (d(alpha) = 0).
+
     This space is the whole first basic cohomology: invariant 0-forms are
     constants, so no nonzero exact invariant 1-form exists.
     """
-    basic = basic_forms(g, leaf, 1)
-    closed = kernel(d_matrix(g, 1))
-    space = basic.intersection(closed)
+    space = kernel(ScalarMatrix._of_rows(leaf.space.basis + d_matrix(g, 1).entries, g.n))
     reps = tuple(primitive_form(vector_to_form(g.n, 1, row)) for row in space.basis)
     return CohomologyReport(1, space.dim, reps, space)

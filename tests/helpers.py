@@ -20,6 +20,7 @@ from nilfol.exactalg import (
     Scalar,
     ScalarMatrix,
     Subspace,
+    rref,
     unit_vector,
     vec,
     vec_add,
@@ -77,6 +78,51 @@ def sympy_rank(m: ScalarMatrix) -> int:
 
     return DomainMatrix([[convert(e) for e in row] for row in m.entries],
                         (m.rows, m.cols), domain).rank()
+
+
+# -- reference kernel and intersection -----------------------------------------
+
+def two_pass_kernel(m: ScalarMatrix) -> Subspace:
+    """Null space of m the two-pass way: one vector per free column of
+    rref(m), which is not in RREF, then reduced again by ``Subspace``."""
+    result = rref(m)
+    basis = []
+    for f in range(m.cols):
+        if f in result.pivots:
+            continue
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, p in enumerate(result.pivots):
+            v[p] = -result.reduced.entries[r][f]
+        basis.append(tuple(v))
+    return Subspace(m.cols, basis)
+
+
+def kernel_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """A ∩ B from the solutions of A^T u = B^T w: v = u^T A lies in both
+    spans.  A kernel, a recombination and a re-reduction."""
+    n, ra, rb = a.ambient_dim, a.dim, b.dim
+    if ra == 0 or rb == 0:
+        return Subspace(n, [])
+    columns = [[a.basis[r][i] for r in range(ra)] + [-b.basis[r][i] for r in range(rb)]
+               for i in range(n)]
+    vectors = []
+    for sol in two_pass_kernel(ScalarMatrix(columns)).basis:
+        v = zero_vector(n)
+        for r in range(ra):
+            v = vec_add(v, vec_scale(sol[r], a.basis[r]))
+        vectors.append(v)
+    return Subspace(n, vectors)
+
+
+def is_rref_basis(basis) -> bool:
+    """Leading entries 1, in strictly increasing columns, and every other
+    vector zero in each leading column."""
+    leads = [next((j for j, e in enumerate(v) if not e.is_zero), None) for v in basis]
+    if None in leads or leads != sorted(set(leads)):
+        return False
+    return all(v[c] == (ONE if i == k else ZERO)
+               for k, c in enumerate(leads) for i, v in enumerate(basis))
 
 
 # -- reference basis extension -----------------------------------------------

@@ -18,11 +18,17 @@ from nilfol.albanese import (
     stratum_codim_check,
     submersion_check,
 )
-from nilfol.exactalg import ONE, S, Scalar, Subspace, unit_vector, vec
+from nilfol.exactalg import ONE, S, Scalar, ScalarMatrix, Subspace, unit_vector, vec
 from nilfol.geometry import Metric
-from nilfol.invforms import InvForm, form_to_vector
+from nilfol.invforms import InvForm, d_matrix, form_to_vector
 from nilfol.liealg import LeafSubalgebra, LieAlgebra
 
+from helpers import (
+    kernel_intersection,
+    random_subalgebra,
+    random_two_step_algebra,
+    two_pass_kernel,
+)
 from test_liealg import abelian, heisenberg3, iwasawa9, iwasawa_leaf
 
 F = Fraction
@@ -202,6 +208,26 @@ class TestBasicFoliationRank:
             report = basic_foliation_report(fnm)
             if report.hull == Subspace.full(fnm.n):
                 assert report.k == 0
+
+
+    def test_one_dimensional_torus(self):
+        report = basic_foliation_report(trivial_torus_fnm(1))
+        assert report.dim_h1_basic_foliation == 1 == report.k
+
+    def test_one_kernel_matches_intersection(self):
+        # closed 1-forms vanishing on the hull, against closed ∩ ann(hull)
+        rng = random.Random(184)
+        fnms = [iwasawa_fnm(), kronecker_fnm(), trivial_torus_fnm(3)]
+        for _ in range(8):
+            g = random_two_step_algebra(rng, with_s=False)
+            leaf = LeafSubalgebra(g, random_subalgebra(rng, g).basis)
+            fnms.append(FoliatedNilmanifold(g, leaf, Metric.identity(g.n)))
+        for fnm in fnms:
+            report = basic_foliation_report(fnm)
+            closed = two_pass_kernel(d_matrix(fnm.algebra, 1))
+            if report.hull.dim:
+                closed = kernel_intersection(closed, two_pass_kernel(ScalarMatrix(report.hull.basis)))
+            assert report.dim_h1_basic_foliation == closed.dim
 
 
 class TestClassicalAlbanese:

@@ -35,10 +35,13 @@ from helpers import (
     euclid_gcd,
     frac_rank,
     greedy_extend,
+    is_rref_basis,
+    kernel_intersection,
     random_matrix,
     random_nonzero_scalar,
     random_poly,
     random_scalar,
+    two_pass_kernel,
 )
 from test_liealg import iwasawa9
 
@@ -421,6 +424,78 @@ class TestKernel:
         for _ in range(50):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
             assert kernel(m).dim == m.cols - rref(m).rank
+
+
+class TestSingleElimination:
+    """``kernel`` and ``intersection`` each run one elimination and return
+    the RREF basis directly; the two-pass constructions are the reference."""
+
+    @staticmethod
+    def _matrices():
+        rng = random.Random(181)
+        for max_deg in (0, 1):
+            kw = {"max_deg": max_deg, "allow_denominator": False}
+            for _ in range(15):
+                rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+                yield random_matrix(rng, rows, cols, max_deg=max_deg)
+                # rank at most k, so the kernel is large
+                k = rng.randint(1, cols)
+                low = random_matrix(rng, rows, k, **kw).matmul(random_matrix(rng, k, cols, **kw))
+                yield low
+                yield ScalarMatrix(low.entries + low.entries)  # duplicated rows
+                yield random_matrix(rng, cols + rng.randint(1, 3), cols, **kw)  # tall
+        yield ScalarMatrix.zeros(3, 5)
+        yield ScalarMatrix([[ONE, ZERO], [S, ONE], [ONE, S]])  # full column rank
+        yield ScalarMatrix.identity(4)
+
+    def test_kernel_equals_two_pass_kernel(self):
+        for m in self._matrices():
+            space = kernel(m)
+            assert space.basis == two_pass_kernel(m).basis
+            assert is_rref_basis(space.basis)
+            for v in space.basis:
+                assert all(x.is_zero for x in m.apply(v))
+
+    def test_kernel_of_every_iwasawa9_differential(self):
+        g = iwasawa9()
+        for k in range(g.n + 1):
+            m = d_matrix(g, k)
+            space = kernel(m)
+            assert space.basis == two_pass_kernel(m).basis, k
+            assert is_rref_basis(space.basis)
+
+    def test_kernel_of_one_row(self):
+        # the free-column vectors of the unreversed RREF would be
+        # (-1, 1, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 1): not RREF
+        m = ScalarMatrix([[ONE, ONE, ZERO, ONE]])
+        assert kernel(m).basis == (vec([1, 0, 0, -1]), vec([0, 1, 0, -1]), vec([0, 0, 1, 0]))
+
+    def test_intersection_equals_reference(self):
+        rng = random.Random(182)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            kw = {"max_deg": rng.choice((0, 1)), "allow_denominator": rng.random() < 0.3}
+
+            def span(count):
+                return Subspace(n, random_matrix(rng, count, n, **kw).entries)
+
+            a, b = span(rng.randint(0, n)), span(rng.randint(0, n))
+            inner = Subspace(n, a.basis[:rng.randint(0, a.dim)])
+            bigger = a.sum(span(1))
+            for x, y in ((a, b), (b, a), (a, a), (a, inner), (inner, a), (a, bigger),
+                         (a, Subspace.zero(n)), (Subspace.full(n), a)):
+                meet = x.intersection(y)
+                assert meet.basis == kernel_intersection(x, y).basis
+                assert is_rref_basis(meet.basis)
+                assert x.contains(meet) and y.contains(meet)
+            assert a.intersection(inner) == inner and a.intersection(bigger) == a
+
+    def test_intersection_of_crossing_planes(self):
+        # span(e1, e2) ∩ span(e2 + s e3, e1 + e3) is the line through (s, -1, 0)
+        a = Subspace(3, [unit_vector(3, 0), unit_vector(3, 1)])
+        b = Subspace(3, [(ZERO, ONE, S), (ONE, ZERO, ONE)])
+        assert a.intersection(b) == Subspace(3, [(S, -ONE, ZERO)])
+        assert a.intersection(b).basis == (vec([1, -1 / S, 0]),)
 
 
 class TestSubspace:

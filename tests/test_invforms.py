@@ -24,11 +24,15 @@ from nilfol.liealg import LeafSubalgebra, LieAlgebra
 from helpers import (
     d_oracle,
     eval_form,
+    kernel_intersection,
+    random_basis_change,
     random_form,
+    random_subalgebra,
     random_two_step_algebra,
     specialize_algebra,
     specialize_vector,
     sympy_rank,
+    two_pass_kernel,
 )
 
 from test_liealg import abelian, heisenberg3, iwasawa9, iwasawa_leaf
@@ -283,6 +287,31 @@ class TestBasicH1:
         report = basic_h1(g, iwasawa_leaf(g))
         for rep in report.representatives:
             assert span.contains_vector(form_to_vector(rep))
+
+
+    def test_one_dimensional_algebra(self):
+        # d_1 has no rows here; the kernel still lives in Q(s)^1
+        g = abelian(1)
+        assert basic_h1(g, LeafSubalgebra(g, [])).dim == 1
+        assert basic_h1(g, LeafSubalgebra(g, [(ONE,)])).dim == 0
+
+    def test_one_kernel_equals_basic_closed_intersection(self):
+        # closed forms vanishing on the leaf are exactly the closed basic ones
+        rng = random.Random(183)
+        g9 = iwasawa9()
+        cases = [(g9, iwasawa_leaf(g9))]
+        for i in range(6):
+            g = random_two_step_algebra(rng, with_s=i % 2 == 0)
+            if i % 4 == 1:
+                g = random_basis_change(rng, g)
+            cases += [(g, LeafSubalgebra(g, [])),
+                      (g, LeafSubalgebra(g, random_subalgebra(rng, g).basis)),
+                      (g, LeafSubalgebra(g, [unit_vector(g.n, j) for j in range(g.n)]))]
+        for g, leaf in cases:
+            space = basic_h1(g, leaf).space
+            basic, d1 = basic_forms(g, leaf, 1), d_matrix(g, 1)
+            assert space == basic.intersection(kernel(d1))
+            assert space == kernel_intersection(basic, two_pass_kernel(d1))
 
 
 class TestSpecializationOracle:
